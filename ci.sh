@@ -24,6 +24,11 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+echo "== benchmark package builds and passes its tests =="
+# perfbench/ is a workspace of its own, so the workspace build above does
+# not compile it; a library API change that breaks the benchmark fails here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== driver equivalence (batch pipeline vs scalar reference) =="
 cargo test -q -p mbp --test driver_equivalence
 cargo test -q -p mbp --test equivalence
@@ -82,7 +87,7 @@ grep -q "</html>" "$obs_tmp/report.html" \
 grep -q "<svg" "$obs_tmp/report.html" \
   || { echo "report is missing its sparklines" >&2; exit 1; }
 
-echo "== batch kernels engaged (kernel_branches > 0 in metrics) =="
+echo "== batch kernels engaged (kernel_branches > 0; tage on the default loop) =="
 # A plain smoke run must ride the predict_batch fast path; a driver change
 # that silently diverts everything to the scalar fallback shows up here as
 # kernel_branches = 0 long before it shows up as a throughput regression.
@@ -93,6 +98,20 @@ kb="$(grep -o '"kernel_branches": *[0-9]*' "$obs_tmp/kernel_metrics.json" \
   | grep -o '[0-9]*$' | head -n 1)"
 if [ -z "$kb" ] || [ "$kb" -eq 0 ]; then
   echo "batched driver did not take the kernel path (kernel_branches=${kb:-missing})" >&2
+  exit 1
+fi
+# TAGE has no hand-written kernel: its batches must be counted as the
+# trait's default loop, never as kernel branches.
+target/release/mbpsim run --predictor tage \
+  --trace "$obs_tmp/traces/SMOKE-mobile.sbbt.mzst" --quiet \
+  --metrics --metrics-out "$obs_tmp/loop_metrics.json" >/dev/null 2>/dev/null
+metric_of() { # metric_of <key> <file>
+  grep -o "\"$1\": *[0-9]*" "$2" | grep -o '[0-9]*$' | head -n 1
+}
+kb="$(metric_of kernel_branches "$obs_tmp/loop_metrics.json")"
+lb="$(metric_of default_loop_branches "$obs_tmp/loop_metrics.json")"
+if [ "${kb:-missing}" != 0 ] || [ -z "$lb" ] || [ "$lb" -eq 0 ]; then
+  echo "tage run miscounted its batches (kernel_branches=${kb:-missing}, default_loop_branches=${lb:-missing})" >&2
   exit 1
 fi
 

@@ -209,6 +209,9 @@ pub(crate) fn decompress<D: SymbolDecoder>(
                 if rest.len() < 4 + len {
                     return Err(CompressError::Truncated);
                 }
+                if len > size - out.len() {
+                    return Err(CompressError::Corrupt("output exceeds declared size"));
+                }
                 out.extend_from_slice(&rest[4..4 + len]);
                 rest = &rest[4 + len..];
             }
@@ -226,9 +229,6 @@ pub(crate) fn decompress<D: SymbolDecoder>(
         if let Some(ratio_pct) = (100 * produced).checked_div(consumed) {
             stats.block_ratio_pct.record(ratio_pct);
         }
-        if out.len() > size {
-            return Err(CompressError::Corrupt("output exceeds declared size"));
-        }
     }
     let trailer = rest.get(..8).ok_or(CompressError::Truncated)?;
     if le_u64(trailer) != checksum64(&out) {
@@ -243,9 +243,9 @@ fn decode_block<D: SymbolDecoder>(
     out: &mut Vec<u8>,
 ) -> Result<usize, CompressError> {
     let mut r = BitReader::new(data);
-    let mut lit_lens = vec![0u32; NUM_LITLEN];
-    let mut dist_lens = vec![0u32; NUM_DIST];
-    for lens in [&mut lit_lens, &mut dist_lens] {
+    let mut lit_lens = [0u32; NUM_LITLEN];
+    let mut dist_lens = [0u32; NUM_DIST];
+    for lens in [&mut lit_lens[..], &mut dist_lens[..]] {
         for l in lens.iter_mut() {
             *l = r.get(4)? as u32;
         }
@@ -255,7 +255,12 @@ fn decode_block<D: SymbolDecoder>(
     loop {
         let sym = lit_dec.decode(&mut r)? as usize;
         match sym {
-            0..=255 => out.push(sym as u8),
+            0..=255 => {
+                if out.len() >= size {
+                    return Err(CompressError::Corrupt("output exceeds declared size"));
+                }
+                out.push(sym as u8);
+            }
             EOB => break,
             _ => {
                 let lc = sym - 257;
@@ -273,23 +278,132 @@ fn decode_block<D: SymbolDecoder>(
                 if dist == 0 || dist > out.len() {
                     return Err(CompressError::Corrupt("match distance out of range"));
                 }
-                if dist >= len {
-                    // Non-overlapping: one bulk copy.
-                    let start = out.len() - dist;
-                    out.extend_from_within(start..start + len);
-                } else {
-                    // Overlapping (RLE-style): byte-by-byte semantics.
-                    for _ in 0..len {
-                        let b = out[out.len() - dist];
-                        out.push(b);
-                    }
+                if len > size - out.len() {
+                    return Err(CompressError::Corrupt("output exceeds declared size"));
                 }
+                copy_match(out, dist, len);
             }
-        }
-        if out.len() > size {
-            return Err(CompressError::Corrupt("output exceeds declared size"));
         }
     }
     r.align();
     Ok(r.byte_pos())
+}
+
+/// Appends `len` bytes copied from `dist` bytes back, with LZ semantics:
+/// when the match overlaps its own output (`dist < len`), the bytes it
+/// copies repeat with period `dist`. The span from the match source to
+/// the end of `out` is always a whole number of periods, so each copy can
+/// take all of it, doubling the span until `len` bytes are out.
+///
+/// The caller has checked `1 <= dist <= out.len()`.
+#[inline]
+fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
+    let start = out.len() - dist;
+    let mut left = len;
+    while left > 0 {
+        let n = left.min(out.len() - start);
+        out.extend_from_within(start..start + n);
+        left -= n;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::entropy::{BitwiseDecoder, TableDecoder};
+    use mbp_utils::Xorshift64;
+
+    const MAGIC: [u8; 4] = *b"TST1";
+
+    /// Frames `seqs` over `data` as one entropy-coded block.
+    fn frame(data: &[u8], seqs: &[Sequence]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        encode_block(data, seqs, &mut out);
+        assert_eq!(out[12], 1, "the block must be entropy coded, not stored");
+        out.extend_from_slice(&checksum64(data).to_le_bytes());
+        out
+    }
+
+    /// Random literal runs and matches, expanded by the byte-at-a-time
+    /// reference loop. Distances favour overlapping copies: 1, periods
+    /// that do not divide the length, and the longest encodable match.
+    fn random_sequences(rng: &mut Xorshift64, count: usize) -> (Vec<u8>, Vec<Sequence>) {
+        let mut data = Vec::new();
+        let mut seqs = Vec::new();
+        for i in 0..count {
+            let lit_start = data.len();
+            let lit_len = 1 + (rng.next_u64() % 6) as usize;
+            data.extend((0..lit_len).map(|_| rng.next_u64() as u8));
+            let r = rng.next_u64();
+            let match_dist = match i % 4 {
+                0 => 1,
+                1 => 2 + (r % 6) as usize,
+                2 => 1 + (r as usize % data.len()),
+                _ => 3,
+            }
+            .min(data.len());
+            let match_len = match i % 5 {
+                0 => 2179,
+                1 => (4 + match_dist * 3 + 1).min(2179),
+                _ => 4 + (r >> 8) as usize % 300,
+            };
+            for _ in 0..match_len {
+                data.push(data[data.len() - match_dist]);
+            }
+            seqs.push(Sequence {
+                lit_start,
+                lit_len,
+                match_len,
+                match_dist,
+            });
+        }
+        seqs.push(Sequence {
+            lit_start: data.len(),
+            lit_len: 0,
+            match_len: 0,
+            match_dist: 0,
+        });
+        (data, seqs)
+    }
+
+    #[test]
+    fn overlapping_matches_decode_like_the_byte_loop_under_both_decoders() {
+        let mut rng = Xorshift64::new(0x1a7e);
+        for round in 0..20 {
+            let (data, seqs) = random_sequences(&mut rng, 40);
+            assert!(seqs
+                .iter()
+                .any(|s| s.match_len == 2179 && s.match_dist == 1));
+            assert!(seqs.iter().any(|s| s.match_dist > 1
+                && s.match_len > s.match_dist
+                && s.match_len % s.match_dist != 0));
+            let packed = frame(&data, &seqs);
+            assert_eq!(
+                decompress::<TableDecoder>(&packed, MAGIC).as_deref(),
+                Ok(&data[..]),
+                "table decoder, round {round}"
+            );
+            assert_eq!(
+                decompress::<BitwiseDecoder>(&packed, MAGIC).as_deref(),
+                Ok(&data[..]),
+                "bitwise decoder, round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn copy_match_repeats_every_period() {
+        for dist in 1..=9 {
+            for len in [1, dist, dist + 1, 3 * dist + 2, 2179] {
+                let mut fast: Vec<u8> = (0..20u8).collect();
+                let mut slow = fast.clone();
+                copy_match(&mut fast, dist, len);
+                for _ in 0..len {
+                    slow.push(slow[slow.len() - dist]);
+                }
+                assert_eq!(fast, slow, "dist {dist} len {len}");
+            }
+        }
+    }
 }

@@ -131,7 +131,12 @@ impl BitWriter {
 
 pub(crate) struct BitReader<'a> {
     data: &'a [u8],
+    /// Bytes of `data` whose bits have been counted into `nbits`.
     pos: usize,
+    /// The next `nbits` stream bits, LSB first. Bits above `nbits` may
+    /// hold a copy of the following stream bits from the last word
+    /// refill; every read masks them off, and a refill ORs the same bits
+    /// back over them, so they are never observed.
     acc: u64,
     nbits: u32,
 }
@@ -146,12 +151,39 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Tops the accumulator up to at least 56 bits, a whole little-endian
+    /// word at a time while eight bytes remain and byte by byte near the
+    /// end of the stream.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let mut buf = [0u8; 8];
+            buf.copy_from_slice(word);
+            self.acc |= u64::from_le_bytes(buf) << self.nbits;
+            let whole = (63 - self.nbits) / 8;
+            self.pos += whole as usize;
+            self.nbits += 8 * whole;
+        } else {
+            while self.nbits <= 56 {
+                let Some(&byte) = self.data.get(self.pos) else {
+                    break;
+                };
+                self.acc |= (byte as u64) << self.nbits;
+                self.nbits += 8;
+                self.pos += 1;
+            }
+        }
+    }
+
+    /// Reads `n <= 56` bits.
+    #[inline]
     pub(crate) fn get(&mut self, n: u32) -> Result<u64, CompressError> {
-        while self.nbits < n {
-            let byte = *self.data.get(self.pos).ok_or(CompressError::Truncated)?;
-            self.acc |= (byte as u64) << self.nbits;
-            self.nbits += 8;
-            self.pos += 1;
+        debug_assert!(n <= 56);
+        if self.nbits < n {
+            self.refill();
+            if self.nbits < n {
+                return Err(CompressError::Truncated);
+            }
         }
         let v = self.acc & ((1u64 << n) - 1);
         self.acc >>= n;
@@ -163,14 +195,15 @@ impl<'a> BitReader<'a> {
         Ok(self.get(1)? as u32)
     }
 
-    /// Peeks up to `n` bits without consuming; bits beyond the end of the
-    /// stream read as zero (the caller validates the decoded length).
+    /// Peeks up to `n <= 56` bits without consuming; bits beyond the end of
+    /// the stream read as zero (the caller validates the decoded length).
+    #[inline]
     pub(crate) fn peek(&mut self, n: u32) -> u64 {
-        while self.nbits < n && self.pos < self.data.len() {
-            self.acc |= (self.data[self.pos] as u64) << self.nbits;
-            self.nbits += 8;
-            self.pos += 1;
+        debug_assert!(n <= 56);
+        if self.nbits < n {
+            self.refill();
         }
+        // Past the end of the stream no refill bits exist above `nbits`.
         self.acc & ((1u64 << n) - 1)
     }
 
@@ -179,6 +212,7 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// [`CompressError::Truncated`] if fewer than `n` bits remain.
+    #[inline]
     pub(crate) fn consume(&mut self, n: u32) -> Result<(), CompressError> {
         if self.nbits < n {
             return Err(CompressError::Truncated);
@@ -375,36 +409,41 @@ impl SymbolDecoder for BitwiseDecoder {
 /// Table-driven decoding (the zstd-era decoder used by MZST): one peek and
 /// one lookup per symbol.
 pub(crate) struct TableDecoder {
-    /// `(len << 16) | symbol`, indexed by the next `MAX_CODE_LEN` bits
-    /// (MSB-first code in the high bits).
+    /// `(len << 16) | symbol`, indexed by the next `bits` stream bits as
+    /// read (LSB first), so a code's bit-reversed value plus every suffix
+    /// of the remaining bits maps to its entry. Zero marks an unused code.
     table: Vec<u32>,
+    /// The block's longest code length (at least 1): the table holds
+    /// `2^bits` entries, sized to the alphabet rather than to
+    /// [`MAX_CODE_LEN`].
+    bits: u32,
 }
 
 impl SymbolDecoder for TableDecoder {
     fn build(lens: &[u32]) -> Result<Self, CompressError> {
         validate_lengths(lens)?;
+        let bits = lens.iter().copied().max().unwrap_or(0).max(1);
         let codes = canonical_codes(lens);
-        let mut table = vec![0u32; 1 << MAX_CODE_LEN];
+        let mut table = vec![0u32; 1 << bits];
         for (sym, (&len, &code)) in lens.iter().zip(codes.iter()).enumerate() {
             if len == 0 {
                 continue;
             }
-            let shift = MAX_CODE_LEN - len;
-            let start = (code << shift) as usize;
+            // Codes are written MSB first into an LSB-first stream, so the
+            // first code bit lands in the lowest peeked bit.
+            let first = (code.reverse_bits() >> (32 - len)) as usize;
             let entry = (len << 16) | sym as u32;
-            for slot in &mut table[start..start + (1usize << shift)] {
+            for slot in table[first..].iter_mut().step_by(1 << len) {
                 *slot = entry;
             }
         }
-        Ok(Self { table })
+        Ok(Self { table, bits })
     }
 
+    #[inline]
     fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, CompressError> {
-        // The bit stream is LSB-first per byte but codes are written
-        // MSB-first, so reverse the peeked window to rebuild the code.
-        let peeked = r.peek(MAX_CODE_LEN);
-        let key = (peeked as u16).reverse_bits() >> (16 - MAX_CODE_LEN);
-        let entry = self.table[key as usize];
+        let key = r.peek(self.bits) as usize;
+        let entry = self.table.get(key).copied().unwrap_or(0);
         let len = entry >> 16;
         if len == 0 {
             return Err(CompressError::Corrupt("invalid Huffman code"));
@@ -546,6 +585,71 @@ mod tests {
             assert_eq!(bitwise.decode(&mut ra).unwrap() as usize, s);
             assert_eq!(table.decode(&mut rb).unwrap() as usize, s);
         }
+    }
+
+    /// Encodes `syms` under `lens` and decodes them with both decoders.
+    fn decode_both(lens: &[u32], syms: &[usize]) {
+        let codes = canonical_codes(lens);
+        let mut w = BitWriter::new(Vec::new());
+        for &s in syms {
+            w.put_code(codes[s], lens[s]);
+        }
+        let buf = w.finish();
+        let bitwise = BitwiseDecoder::build(lens).unwrap();
+        let table = TableDecoder::build(lens).unwrap();
+        let (mut ra, mut rb) = (BitReader::new(&buf), BitReader::new(&buf));
+        for &s in syms {
+            assert_eq!(bitwise.decode(&mut ra).unwrap() as usize, s);
+            assert_eq!(table.decode(&mut rb).unwrap() as usize, s);
+        }
+    }
+
+    #[test]
+    fn table_is_sized_to_a_one_bit_alphabet() {
+        let mut lens = vec![0u32; NUM_LITLEN];
+        lens[7] = 1;
+        lens[EOB] = 1;
+        assert_eq!(TableDecoder::build(&lens).unwrap().table.len(), 2);
+        decode_both(&lens, &[7, EOB, EOB, 7, 7, EOB]);
+
+        // A lone symbol gets a one-bit code; the unused code is corrupt.
+        let mut lone = vec![0u32; NUM_DIST];
+        lone[3] = 1;
+        let table = TableDecoder::build(&lone).unwrap();
+        assert_eq!(table.table.len(), 2);
+        decode_both(&lone, &[3, 3, 3]);
+        let mut r = BitReader::new(&[0xff]);
+        assert!(matches!(
+            table.decode(&mut r),
+            Err(CompressError::Corrupt(_))
+        ));
+
+        // No symbols at all (a block without matches): every code fails.
+        let empty = TableDecoder::build(&[0u32; NUM_DIST]).unwrap();
+        let mut r = BitReader::new(&[0x00]);
+        assert!(matches!(
+            empty.decode(&mut r),
+            Err(CompressError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn table_is_sized_to_a_fifteen_bit_alphabet() {
+        // Fibonacci frequencies force the longest codes the format allows.
+        let mut freqs = vec![0u64; NUM_DIST];
+        let (mut a, mut b) = (1u64, 1u64);
+        for f in freqs.iter_mut() {
+            *f = a;
+            (a, b) = (b, a + b);
+        }
+        let lens = huffman_lengths(&freqs);
+        assert_eq!(lens.iter().max(), Some(&MAX_CODE_LEN));
+        assert_eq!(
+            TableDecoder::build(&lens).unwrap().table.len(),
+            1 << MAX_CODE_LEN
+        );
+        let syms: Vec<usize> = (0..NUM_DIST).chain((0..NUM_DIST).rev()).collect();
+        decode_both(&lens, &syms);
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub use forensics::{
 };
 pub use introspect::{probe_counter_table, probes_to_json, TableProbe};
 pub use metrics::{
-    BranchStat, BranchTaxonomy, ClassStat, Metrics, MostFailed, ENTROPY_CLASSES, TRANSITION_CLASSES,
+    BranchStat, BranchTaxonomy, ClassStat, Metrics, MostFailed, MostFailedReport, ENTROPY_CLASSES,
+    TRANSITION_CLASSES,
 };
 pub use predictor::{PredictionBits, Predictor};
 pub use simpoint::{

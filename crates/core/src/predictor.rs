@@ -1,9 +1,22 @@
 //! The branch predictor interface (§IV-A of the paper).
 
+use std::cell::Cell;
+
 use mbp_json::Value;
 use mbp_trace::{Branch, BranchBatch};
 
 use crate::introspect::TableProbe;
+
+thread_local! {
+    /// Records this thread's default [`Predictor::predict_batch`] loops
+    /// have processed, so a driver can tell them from kernel records.
+    static DEFAULT_LOOP_RECORDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Running total of [`DEFAULT_LOOP_RECORDS`] on the calling thread.
+pub(crate) fn default_loop_records() -> u64 {
+    DEFAULT_LOOP_RECORDS.with(Cell::get)
+}
 
 /// A growable bitset collecting one prediction per conditional branch, in
 /// batch order — the output buffer of [`Predictor::predict_batch`].
@@ -110,6 +123,13 @@ impl PredictionBits {
             self.len
         );
         (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// The predictions packed LSB first, 64 to a word; bits past
+    /// [`len`](PredictionBits::len) in the last word are zero.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Iterates the predictions in push order.
@@ -260,12 +280,19 @@ pub trait Predictor {
     ///
     /// Callers must `out.clear()` (or otherwise account for existing bits)
     /// before the call; bits are appended.
+    ///
+    /// The default body counts the records it processes in the
+    /// `default_loop_branches` pipeline counter, so run metrics tell
+    /// hand-written kernels from the per-record loop.
     fn predict_batch(
         &mut self,
         batch: &BranchBatch,
         track_only_conditional: bool,
         out: &mut PredictionBits,
     ) {
+        let records = batch.len() as u64;
+        mbp_stats::pipeline().sim.default_loop_branches.add(records);
+        DEFAULT_LOOP_RECORDS.with(|c| c.set(c.get() + records));
         for i in 0..batch.len() {
             let branch = batch.branch(i);
             let conditional = branch.is_conditional();
@@ -462,7 +489,9 @@ mod tests {
         for track_only_conditional in [false, true] {
             let mut batched = Spy::default();
             let mut bits = PredictionBits::new();
+            let looped = default_loop_records();
             batched.predict_batch(&batch, track_only_conditional, &mut bits);
+            assert_eq!(default_loop_records() - looped, 3, "default loop counted");
 
             let mut scalar = Spy::default();
             let mut expected_bits = Vec::new();

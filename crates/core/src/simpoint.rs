@@ -808,6 +808,7 @@ pub fn simulate_sampled<P: Predictor + ?Sized>(
         .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
 
     let implied_mispredictions = (recon_mpki * phases.instruction_count as f64 / 1000.0).round();
+    let report = most_failed.report(config.most_failed_limit, measured_instr, raw_mispredictions);
     SimResult {
         metadata: SimMetadata {
             simulator: crate::SIMULATOR_NAME,
@@ -817,7 +818,7 @@ pub fn simulate_sampled<P: Predictor + ?Sized>(
             simulation_instr: measured_instr,
             exhausted_trace: true,
             num_conditional_branches: raw_conditional,
-            num_branch_instructions: most_failed.distinct_branches(),
+            num_branch_instructions: report.distinct_branches,
             track_only_conditional: config.track_only_conditional,
             predictor: predictor.metadata(),
         },
@@ -825,12 +826,12 @@ pub fn simulate_sampled<P: Predictor + ?Sized>(
             mpki: recon_mpki,
             mispredictions: implied_mispredictions as u64,
             accuracy: recon_accuracy,
-            num_most_failed_branches: most_failed.half_coverage_count(raw_mispredictions),
+            num_most_failed_branches: report.half_coverage_count,
             simulation_time: elapsed.as_secs_f64(),
         },
         predictor_statistics: predictor.execution_statistics(),
-        most_failed: most_failed.top(config.most_failed_limit, measured_instr),
-        branch_taxonomy: most_failed.taxonomy(),
+        most_failed: report.top,
+        branch_taxonomy: report.taxonomy,
         timeseries: None,
         table_probes: if config.collect_probes {
             predictor.table_probes()

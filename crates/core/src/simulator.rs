@@ -164,6 +164,11 @@ impl SimState {
             .forensics
             .as_ref()
             .map(|f| f.report(self.measured_instructions));
+        let report = self.most_failed.report(
+            config.most_failed_limit,
+            self.measured_instructions,
+            self.mispredictions,
+        );
         SimResult {
             metadata: SimMetadata {
                 simulator: crate::SIMULATOR_NAME,
@@ -173,7 +178,7 @@ impl SimState {
                 simulation_instr: self.measured_instructions,
                 exhausted_trace: self.exhausted,
                 num_conditional_branches: self.conditional,
-                num_branch_instructions: self.most_failed.distinct_branches(),
+                num_branch_instructions: report.distinct_branches,
                 track_only_conditional: config.track_only_conditional,
                 predictor: predictor.metadata(),
             },
@@ -181,14 +186,12 @@ impl SimState {
                 mpki: mpki(self.mispredictions, self.measured_instructions),
                 mispredictions: self.mispredictions,
                 accuracy: accuracy(self.mispredictions, self.conditional),
-                num_most_failed_branches: self.most_failed.half_coverage_count(self.mispredictions),
+                num_most_failed_branches: report.half_coverage_count,
                 simulation_time,
             },
             predictor_statistics: predictor.execution_statistics(),
-            most_failed: self
-                .most_failed
-                .top(config.most_failed_limit, self.measured_instructions),
-            branch_taxonomy: self.most_failed.taxonomy(),
+            most_failed: report.top,
+            branch_taxonomy: report.taxonomy,
             timeseries,
             table_probes: if config.collect_probes {
                 predictor.table_probes()
@@ -241,7 +244,8 @@ where
     let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
     let mut st = SimState::new(config);
     let mut records = 0u64;
-    let mut kernel_records = 0u64;
+    let mut batched_records = 0u64;
+    let looped_before = crate::predictor::default_loop_records();
     let mut fallback_records = 0u64;
     let mut batch = mbp_trace::BranchBatch::new();
     let mut predictions = PredictionBits::new();
@@ -275,7 +279,7 @@ where
             && st.timeseries.is_none()
             && st.forensics.is_none()
         {
-            kernel_records += got as u64;
+            batched_records += got as u64;
             predictions.clear();
             predictor.predict_batch(&batch, config.track_only_conditional, &mut predictions);
             // Bookkeeping over the columns: the predictor already consumed
@@ -289,25 +293,14 @@ where
                 &batch.ops()[..got],
             );
             // Instruction totals vectorize as one reduction over the gaps
-            // column; the remaining loop keeps its running counters in
-            // locals so only the per-branch tables see memory traffic.
+            // column; scoring and the per-branch table take one pass over
+            // the remaining columns.
             let advanced: u64 = gaps.iter().map(|&g| g as u64).sum::<u64>() + got as u64;
             st.instructions += advanced;
             st.measured_instructions += advanced;
-            let (mut conditional, mut mispredictions) = (0u64, 0u64);
-            let mut bit = 0usize;
-            for i in 0..got {
-                if ops[i] & 0b1 != 0 {
-                    let outcome = taken[i] != 0;
-                    let mispredicted = predictions.get(bit) != outcome;
-                    bit += 1;
-                    conditional += 1;
-                    mispredictions += mispredicted as u64;
-                    st.most_failed.record(pcs[i], outcome, mispredicted);
-                } else {
-                    st.most_failed.note_static(pcs[i]);
-                }
-            }
+            let (conditional, mispredictions) =
+                st.most_failed
+                    .record_batch(pcs, taken, ops, predictions.words());
             st.conditional += conditional;
             st.mispredictions += mispredictions;
             continue;
@@ -371,6 +364,10 @@ where
     }
 
     let elapsed = start.elapsed();
+    // Batched records a predictor without a kernel ran through the trait's
+    // default loop were counted there, on this thread.
+    let kernel_records =
+        batched_records.saturating_sub(crate::predictor::default_loop_records() - looped_before);
     stats.records.add(records);
     stats.instructions.add(st.instructions);
     stats.kernel_branches.add(kernel_records);
@@ -412,46 +409,39 @@ where
     let stats = &mbp_stats::pipeline().sim;
     stats.runs.inc();
     let _run_event = mbp_stats::events::span(mbp_stats::events::EventName::SimSimulate);
+    let mut st = SimState::new(config);
     let mut records = 0u64;
-    let mut instructions = 0u64;
-    let mut measured_instructions = 0u64;
-    let mut conditional = 0u64;
-    let mut mispredictions = 0u64;
-    let mut most_failed = MostFailed::new();
-    let mut exhausted = true;
-    let mut ts_builder = config.timeseries_window.map(TimeSeriesBuilder::new);
-    let mut forensics = config.forensics.as_ref().map(Forensics::new);
 
     while let Some(rec) = trace.next_record()? {
         records += 1;
         if let Some(max) = config.max_instructions {
-            if instructions >= max {
-                exhausted = false;
+            if st.instructions >= max {
+                st.exhausted = false;
                 break;
             }
         }
-        instructions += rec.instructions();
-        let in_measurement = instructions > config.warmup_instructions;
+        st.instructions += rec.instructions();
+        let in_measurement = st.instructions > config.warmup_instructions;
         if in_measurement {
-            measured_instructions += rec.instructions();
+            st.measured_instructions += rec.instructions();
         }
         let b = rec.branch;
         if b.is_conditional() {
             let prediction = predictor.predict(b.ip());
             let mispredicted = prediction != b.is_taken();
-            if let Some(ts) = ts_builder.as_mut() {
+            if let Some(ts) = st.timeseries.as_mut() {
                 ts.branch(b.ip(), b.is_taken(), mispredicted);
             }
             if in_measurement {
-                conditional += 1;
-                mispredictions += mispredicted as u64;
-                most_failed.record(b.ip(), b.is_taken(), mispredicted);
+                st.conditional += 1;
+                st.mispredictions += mispredicted as u64;
+                st.most_failed.record(b.ip(), b.is_taken(), mispredicted);
             } else {
-                most_failed.note_static(b.ip());
+                st.most_failed.note_static(b.ip());
             }
             predictor.train(&b);
             if in_measurement {
-                if let Some(f) = forensics.as_mut() {
+                if let Some(f) = st.forensics.as_mut() {
                     let blame = if mispredicted {
                         predictor.last_mispredict_blame()
                     } else {
@@ -461,56 +451,24 @@ where
                 }
             }
         } else {
-            most_failed.note_static(b.ip());
+            st.most_failed.note_static(b.ip());
         }
         if !config.track_only_conditional || b.is_conditional() {
             predictor.track(&b);
         }
-        if let Some(ts) = ts_builder.as_mut() {
-            ts.advance(instructions);
+        if let Some(ts) = st.timeseries.as_mut() {
+            ts.advance(st.instructions);
         }
     }
 
     let elapsed = start.elapsed();
     stats.records.add(records);
-    stats.instructions.add(instructions);
+    stats.instructions.add(st.instructions);
     stats.scalar_fallback_branches.add(records);
     stats
         .simulate
         .record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    let simulation_time = elapsed.as_secs_f64();
-    Ok(SimResult {
-        metadata: SimMetadata {
-            simulator: crate::SIMULATOR_NAME,
-            version: crate::SIMULATOR_VERSION,
-            trace: trace.description(),
-            warmup_instr: config.warmup_instructions,
-            simulation_instr: measured_instructions,
-            exhausted_trace: exhausted,
-            num_conditional_branches: conditional,
-            num_branch_instructions: most_failed.distinct_branches(),
-            track_only_conditional: config.track_only_conditional,
-            predictor: predictor.metadata(),
-        },
-        metrics: Metrics {
-            mpki: mpki(mispredictions, measured_instructions),
-            mispredictions,
-            accuracy: accuracy(mispredictions, conditional),
-            num_most_failed_branches: most_failed.half_coverage_count(mispredictions),
-            simulation_time,
-        },
-        predictor_statistics: predictor.execution_statistics(),
-        most_failed: most_failed.top(config.most_failed_limit, measured_instructions),
-        branch_taxonomy: most_failed.taxonomy(),
-        timeseries: ts_builder.map(|b| b.finish(instructions)),
-        table_probes: if config.collect_probes {
-            predictor.table_probes()
-        } else {
-            Vec::new()
-        },
-        sampling: None,
-        forensics: forensics.map(|f| f.report(measured_instructions)),
-    })
+    Ok(st.into_result(trace, predictor, config, elapsed.as_secs_f64()))
 }
 
 #[cfg(test)]

@@ -156,4 +156,28 @@ fn corrupt_length_fields_cannot_inflate_allocations() {
         });
         assert!(grew <= budget, "{codec}: reader path peaked at {grew}");
     }
+
+    // A declared size below the stream's real content: the match that would
+    // run past it must fail typed before a byte of it is copied, so the
+    // output buffer, reserved at the declared size, never grows (a `Vec`
+    // growing past its reservation would at least double it).
+    let content = vec![0u8; 1 << 20];
+    let declared = 1usize << 18;
+    for codec in [mbp_compress::Codec::Mgz, mbp_compress::Codec::Mzst] {
+        let mut bad = mbp_compress::compress(&content, codec, 3).expect("compress");
+        bad[4..12].copy_from_slice(&(declared as u64).to_le_bytes());
+        let grew = peak_growth(|| {
+            assert!(
+                matches!(
+                    mbp_compress::decompress(&bad),
+                    Err(mbp_compress::CompressError::Corrupt(_))
+                ),
+                "{codec}: a match past the declared size must fail as corrupt"
+            );
+        });
+        assert!(
+            grew < declared + declared / 2,
+            "{codec}: output grew past its declared {declared} bytes (peak {grew})"
+        );
+    }
 }

@@ -64,6 +64,13 @@ macro_rules! json_internal {
 
     // Object munching: `@object $map (key tokens) (remaining) (copy)`.
     (@object $object:ident () () ()) => {};
+    (@object $object:ident [$key:literal] ($value:expr) , $($rest:tt)*) => {
+        $object.insert_static($key, $value);
+        $crate::json_internal!(@object $object () ($($rest)*) ($($rest)*));
+    };
+    (@object $object:ident [$key:literal] ($value:expr)) => {
+        $object.insert_static($key, $value);
+    };
     (@object $object:ident [$($key:tt)+] ($value:expr) , $($rest:tt)*) => {
         $object.insert(($($key)+), $value);
         $crate::json_internal!(@object $object () ($($rest)*) ($($rest)*));

@@ -78,22 +78,46 @@ fn push_indent(level: usize, out: &mut String) {
     }
 }
 
+/// Appends the decimal digits of `v`.
+fn write_u64(mut v: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &digit in &buf[start..] {
+        out.push(digit as char);
+    }
+}
+
 fn write_number(n: Number, out: &mut String) {
     use std::fmt::Write;
     match n {
         Number::Int(v) => {
-            let _ = write!(out, "{v}");
+            if v < 0 {
+                out.push('-');
+            }
+            write_u64(v.unsigned_abs(), out);
         }
-        Number::UInt(v) => {
-            let _ = write!(out, "{v}");
-        }
+        Number::UInt(v) => write_u64(v, out),
         Number::Float(v) => {
             if v.is_finite() {
                 // `{}` on f64 prints the shortest representation that
                 // roundtrips, which is exactly what we want for metrics.
                 if v == v.trunc() && v.abs() < 1e15 {
-                    // Keep a trailing `.0` so floats stay floats on re-parse.
-                    let _ = write!(out, "{v:.1}");
+                    // A whole number below 2^53 converts exactly. Keep a
+                    // trailing `.0` so floats stay floats on re-parse, and
+                    // the sign of -0.0.
+                    if v.is_sign_negative() {
+                        out.push('-');
+                    }
+                    write_u64(v.abs() as u64, out);
+                    out.push_str(".0");
                 } else {
                     let _ = write!(out, "{v}");
                 }
@@ -107,22 +131,31 @@ fn write_number(n: Number, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so it never sits inside a
+    // multi-byte character and the runs between escapes copy whole.
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            use std::fmt::Write;
+            let _ = write!(out, "\\u{:04x}", byte);
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -168,9 +201,42 @@ mod tests {
     }
 
     #[test]
+    fn whole_floats_match_one_decimal_formatting() {
+        for v in [
+            0.0f64,
+            -0.0,
+            1.0,
+            -1.0,
+            42.0,
+            1e14,
+            -999_999_999_999_999.0,
+            1e15,
+            2.5e20,
+        ] {
+            let expected = if v.abs() < 1e15 {
+                format!("{v:.1}")
+            } else {
+                v.to_string()
+            };
+            assert_eq!(Value::from(v).to_compact_string(), expected, "{v}");
+        }
+    }
+
+    #[test]
     fn non_finite_floats_serialize_as_null() {
         assert_eq!(Value::from(f64::NAN).to_compact_string(), "null");
         assert_eq!(Value::from(f64::INFINITY).to_compact_string(), "null");
+    }
+
+    #[test]
+    fn integers_print_every_digit() {
+        for v in [0, 7, -7, 10, -10, 1_000_000, i64::MAX, i64::MIN] {
+            assert_eq!(Value::from(v).to_compact_string(), v.to_string());
+        }
+        assert_eq!(
+            Value::from(u64::MAX).to_compact_string(),
+            u64::MAX.to_string()
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The [`Value`] type: a parsed or constructed JSON document.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::str::FromStr;
 
 use crate::error::ParseJsonError;
@@ -9,11 +11,79 @@ use crate::error::ParseJsonError;
 /// An ordered JSON object.
 ///
 /// Keys are kept in insertion order so that the simulator output sections
-/// appear in the same order as in the paper's Listing 1.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// appear in the same order as in the paper's Listing 1. Each key is
+/// stored once, next to its value. Small objects (all the simulator
+/// renders) look keys up by a scan; past sixteen entries a hash index
+/// keeps lookups, and so parsing an object with many keys, close to
+/// constant time per key.
+#[derive(Clone, Default)]
 pub struct Map {
-    keys: Vec<String>,
-    entries: BTreeMap<String, Value>,
+    /// Keys written as literals in [`json!`](crate::json) are borrowed,
+    /// so rendering a document allocates no key.
+    entries: Vec<(Cow<'static, str>, Value)>,
+    index: Option<Box<Index>>,
+}
+
+/// Entry count above which a [`Map`] keeps a hash index.
+const INDEXED_LEN: usize = 16;
+
+/// Open-addressing table of positions in [`Map::entries`], probed
+/// linearly and at most half full. Keys hash with the standard library's
+/// randomly keyed hasher, so keys from an untrusted document cannot be
+/// chosen to collide.
+#[derive(Clone)]
+struct Index {
+    slots: Vec<u32>,
+    hasher: RandomState,
+}
+
+/// An unused [`Index`] slot.
+const VACANT: u32 = u32::MAX;
+
+impl Index {
+    /// Indexes every entry of `entries`.
+    fn build(entries: &[(Cow<'static, str>, Value)]) -> Self {
+        let mut index = Index {
+            slots: vec![VACANT; (2 * entries.len()).next_power_of_two()],
+            hasher: RandomState::new(),
+        };
+        for (pos, (key, _)) in entries.iter().enumerate() {
+            index.add(key, pos);
+        }
+        index
+    }
+
+    /// The first slot of `key`'s probe sequence.
+    fn home(&self, key: &str) -> usize {
+        self.hasher.hash_one(key) as usize & (self.slots.len() - 1)
+    }
+
+    /// Records that `key` sits at `pos`; the caller has checked that it is
+    /// not indexed yet and that a vacant slot remains.
+    fn add(&mut self, key: &str, pos: usize) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        while self.slots[slot] != VACANT {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = pos as u32;
+    }
+
+    /// The position of `key` in `entries`.
+    fn find(&self, entries: &[(Cow<'static, str>, Value)], key: &str) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            let pos = self.slots[slot];
+            if pos == VACANT {
+                return None;
+            }
+            if entries[pos as usize].0.as_ref() == key {
+                return Some(pos as usize);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
 }
 
 impl Map {
@@ -24,60 +94,98 @@ impl Map {
 
     /// Number of key/value pairs.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.entries.len()
     }
 
     /// Whether the object has no entries.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.entries.is_empty()
+    }
+
+    /// The position of `key` in insertion order.
+    fn position(&self, key: &str) -> Option<usize> {
+        match &self.index {
+            Some(index) => index.find(&self.entries, key),
+            None => self.entries.iter().position(|(k, _)| k.as_ref() == key),
+        }
     }
 
     /// Inserts a key/value pair, returning the previous value for `key` if
     /// one existed. Insertion order is preserved; re-inserting an existing
     /// key keeps its original position.
     pub fn insert(&mut self, key: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
-        let key = key.into();
-        let old = self.entries.insert(key.clone(), value.into());
-        if old.is_none() {
-            self.keys.push(key);
+        self.insert_key(Cow::Owned(key.into()), value.into())
+    }
+
+    /// [`insert`](Map::insert) for a key that lives for the whole
+    /// program, stored without a copy; [`json!`](crate::json) uses it for
+    /// literal keys.
+    pub fn insert_static(&mut self, key: &'static str, value: impl Into<Value>) -> Option<Value> {
+        self.insert_key(Cow::Borrowed(key), value.into())
+    }
+
+    fn insert_key(&mut self, key: Cow<'static, str>, value: Value) -> Option<Value> {
+        if let Some(pos) = self.position(&key) {
+            return Some(std::mem::replace(&mut self.entries[pos].1, value));
         }
-        old
+        let pos = self.entries.len();
+        self.entries.push((key, value));
+        match &mut self.index {
+            Some(index) if 2 * (pos + 1) <= index.slots.len() => {
+                index.add(&self.entries[pos].0, pos);
+            }
+            _ if pos + 1 > INDEXED_LEN => self.index = Some(Box::new(Index::build(&self.entries))),
+            _ => {}
+        }
+        None
     }
 
     /// Looks up a value by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.get(key)
+        self.position(key).map(|pos| &self.entries[pos].1)
     }
 
     /// Looks up a value by key, mutably.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.entries.get_mut(key)
+        self.position(key).map(|pos| &mut self.entries[pos].1)
     }
 
     /// Removes a key, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let v = self.entries.remove(key);
-        if v.is_some() {
-            self.keys.retain(|k| k != key);
-        }
-        v
+        let pos = self.position(key)?;
+        let (_, value) = self.entries.remove(pos);
+        // Later entries moved down one position.
+        self.index =
+            (self.entries.len() > INDEXED_LEN).then(|| Box::new(Index::build(&self.entries)));
+        Some(value)
     }
 
     /// Whether the object contains `key`.
     pub fn contains_key(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        self.position(key).is_some()
     }
 
     /// Iterates over `(key, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.keys
-            .iter()
-            .map(move |k| (k.as_str(), &self.entries[k]))
+        self.entries.iter().map(|(k, v)| (k.as_ref(), v))
     }
 
     /// Iterates over keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.keys.iter().map(String::as_str)
+        self.entries.iter().map(|(k, _)| k.as_ref())
+    }
+}
+
+/// Two objects are equal when they hold the same pairs in the same order.
+impl PartialEq for Map {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -418,6 +526,47 @@ mod tests {
         assert_eq!(m.remove("a"), None);
         assert_eq!(m.len(), 1);
         assert!(!m.contains_key("a"));
+    }
+
+    #[test]
+    fn large_objects_parse_in_linear_time_and_keep_order() {
+        // 100k distinct keys plus a duplicate of the first: a linear
+        // per-key lookup would make this parse quadratic.
+        let n = 100_000;
+        let mut text = String::from("{");
+        for i in 0..n {
+            text.push_str(&format!("\"k{i}\":{i},"));
+        }
+        text.push_str("\"k0\":-1}");
+        let doc: Value = text.parse().unwrap();
+        let map = doc.as_object().unwrap();
+        assert_eq!(map.len(), n);
+        assert_eq!(map.get("k0"), Some(&Value::from(-1)), "last duplicate wins");
+        assert_eq!(map.keys().next(), Some("k0"), "and keeps its position");
+        assert_eq!(map.get("k99999"), Some(&Value::from(99_999)));
+        assert_eq!(map.get("k100000"), None);
+        assert_eq!(
+            map.iter().nth(n / 2),
+            Some(("k50000", &Value::from(50_000)))
+        );
+    }
+
+    #[test]
+    fn indexed_map_remove_and_reinsert() {
+        let mut m: Map = (0..40).map(|i| (format!("k{i}"), i)).collect();
+        assert_eq!(m.remove("k3"), Some(Value::from(3)));
+        assert_eq!(m.get("k39"), Some(&Value::from(39)), "positions shifted");
+        assert!(!m.contains_key("k3"));
+        m.insert("k3", 300);
+        assert_eq!(m.keys().last(), Some("k3"), "a removed key re-enters last");
+        for i in (0..40).filter(|&i| i != 3) {
+            assert_eq!(m.get(&format!("k{i}")), Some(&Value::from(i)));
+        }
+        let mut small: Map = m.iter().take(4).map(|(k, v)| (k, v.clone())).collect();
+        for (k, v) in m.iter() {
+            small.insert(k, v.clone());
+        }
+        assert_eq!(small, m, "equal pairs in equal order, however indexed");
     }
 
     #[test]

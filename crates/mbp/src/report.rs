@@ -45,6 +45,7 @@ pub fn pipeline_json(snap: &PipelineSnapshot) -> Value {
             "records": snap.sim_records,
             "instructions": snap.sim_instructions,
             "kernel_branches": snap.sim_kernel_branches,
+            "default_loop_branches": snap.sim_default_loop_branches,
             "scalar_fallback_branches": snap.sim_scalar_fallback_branches,
             "fill_batch_time_s": snap.sim_fill_batch.seconds(),
             "time_s": snap.sim_simulate.seconds(),
@@ -134,10 +135,11 @@ pub fn human_summary(snap: &PipelineSnapshot) -> String {
     }
     if snap.sim_runs > 0 {
         out.push_str(&format!(
-            "simulate:  {} run(s), {} branches ({} kernel / {} scalar), {} instr in {:.3} s ({} branches)\n",
+            "simulate:  {} run(s), {} branches ({} kernel / {} default loop / {} scalar), {} instr in {:.3} s ({} branches)\n",
             snap.sim_runs,
             count(snap.sim_records),
             count(snap.sim_kernel_branches),
+            count(snap.sim_default_loop_branches),
             count(snap.sim_scalar_fallback_branches),
             count(snap.sim_instructions),
             snap.sim_simulate.seconds(),
@@ -185,7 +187,8 @@ mod tests {
         stats.sim.runs.inc();
         stats.sim.records.add(2048);
         stats.sim.instructions.add(10_240);
-        stats.sim.kernel_branches.add(2000);
+        stats.sim.kernel_branches.add(1500);
+        stats.sim.default_loop_branches.add(500);
         stats.sim.scalar_fallback_branches.add(48);
         stats.sim.simulate.record_ns(2_000_000);
         stats.snapshot()
@@ -201,7 +204,8 @@ mod tests {
         );
         assert_eq!(doc["decode"]["packets_decoded"], Value::from(2048));
         assert_eq!(doc["simulate"]["runs"], Value::from(1));
-        assert_eq!(doc["simulate"]["kernel_branches"], Value::from(2000));
+        assert_eq!(doc["simulate"]["kernel_branches"], Value::from(1500));
+        assert_eq!(doc["simulate"]["default_loop_branches"], Value::from(500));
         assert_eq!(doc["simulate"]["scalar_fallback_branches"], Value::from(48));
         assert_eq!(doc["sweep"]["predictors"], Value::from(0));
         // The document parses back.

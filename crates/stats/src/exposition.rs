@@ -186,6 +186,11 @@ pub fn render_openmetrics(
     counter(&mut out, "mbp_sim_kernel_branches", p.sim_kernel_branches);
     counter(
         &mut out,
+        "mbp_sim_default_loop_branches",
+        p.sim_default_loop_branches,
+    );
+    counter(
+        &mut out,
         "mbp_sim_scalar_fallback_branches",
         p.sim_scalar_fallback_branches,
     );

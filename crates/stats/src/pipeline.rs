@@ -57,9 +57,12 @@ pub struct SimStats {
     pub fill_batch: Timer,
     /// Wall time of whole simulation runs (includes the decode share).
     pub simulate: Timer,
-    /// Records processed through `Predictor::predict_batch` (the batched
-    /// kernel fast path of `simulate`).
+    /// Records the batched fast path of `simulate` handed to a
+    /// hand-written `Predictor::predict_batch` kernel.
     pub kernel_branches: Counter,
+    /// Records processed by the trait's default `predict_batch` body, the
+    /// per-record loop that predictors without a kernel inherit.
+    pub default_loop_branches: Counter,
     /// Records processed one at a time: warm-up and cut-off windows,
     /// timeseries runs, and the scalar reference driver.
     pub scalar_fallback_branches: Counter,
@@ -154,6 +157,7 @@ impl PipelineStats {
                 fill_batch: Timer::new(),
                 simulate: Timer::new(),
                 kernel_branches: Counter::new(),
+                default_loop_branches: Counter::new(),
                 scalar_fallback_branches: Counter::new(),
             },
             sweep: SweepStats {
@@ -249,8 +253,10 @@ pub struct PipelineSnapshot {
     pub sim_fill_batch: TimerSnapshot,
     /// Sim: whole-run time.
     pub sim_simulate: TimerSnapshot,
-    /// Sim: records through the batched kernel fast path.
+    /// Sim: records through a hand-written batch kernel.
     pub sim_kernel_branches: u64,
+    /// Sim: records through the default `predict_batch` loop.
+    pub sim_default_loop_branches: u64,
     /// Sim: records through the one-at-a-time fallback path.
     pub sim_scalar_fallback_branches: u64,
     /// Sweep: workers spawned.
@@ -351,6 +357,7 @@ impl PipelineStats {
             sim_fill_batch: TimerSnapshot::of(&self.sim.fill_batch),
             sim_simulate: TimerSnapshot::of(&self.sim.simulate),
             sim_kernel_branches: self.sim.kernel_branches.get(),
+            sim_default_loop_branches: self.sim.default_loop_branches.get(),
             sim_scalar_fallback_branches: self.sim.scalar_fallback_branches.get(),
             sweep_workers: self.sweep.workers.get(),
             sweep_predictors: self.sweep.predictors.get(),
@@ -390,6 +397,7 @@ impl PipelineStats {
         self.sim.fill_batch.reset();
         self.sim.simulate.reset();
         self.sim.kernel_branches.reset();
+        self.sim.default_loop_branches.reset();
         self.sim.scalar_fallback_branches.reset();
         self.sweep.workers.reset();
         self.sweep.predictors.reset();
